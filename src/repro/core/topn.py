@@ -7,23 +7,24 @@ spaced thresholds ``t_i = 2^i * t0`` with one counter each.  A threshold
 entries below the largest active threshold are provably outside the top N
 and are pruned.  Powers of two keep the thresholds computable with shifts.
 
-Randomized (:class:`TopNRandomizedPruner`): entries are assigned a uniform
-random row of a ``d x w`` rolling-minimum matrix; an entry smaller than
-all ``w`` values stored in its row is pruned.  Theorem 2 sizes ``(d, w)``
-so that with probability ``1 - delta`` no true top-N entry lands in a row
-already holding ``w`` larger top-N entries — i.e. none is pruned.
+Randomized (:class:`TopNRandomizedPruner`): entries are assigned a
+pseudo-random row of a ``d x w`` rolling-minimum matrix (a seeded hash
+of the entry's stream position); an entry smaller than all ``w`` values
+stored in its row is pruned.  Theorem 2 sizes ``(d, w)`` so that with
+probability ``1 - delta`` no true top-N entry lands in a row already
+holding ``w`` larger top-N entries — i.e. none is pruned.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..sketches.cachematrix import RollingMinMatrix
+from ..sketches.hashing import hash_range, hash_range_batch
 from ..switch.compiler import footprint_topn_det, footprint_topn_rand
 from ..switch.fuse import ladder_pass
 from ..switch.resources import ResourceFootprint
@@ -190,6 +191,11 @@ class TopNDeterministicPruner(Pruner[float]):
         ).set(len(self._thresholds))
 
 
+#: Salt separating the randomized TOP N row draw from the other seeded
+#: hash streams.
+_ROW_SALT = 0x70B5
+
+
 class TopNRandomizedPruner(Pruner[float]):
     """Rolling-minimum matrix TOP N with probabilistic guarantee (§5).
 
@@ -206,7 +212,8 @@ class TopNRandomizedPruner(Pruner[float]):
     delta:
         Target failure probability (paper's evaluation uses 1e-4).
     seed:
-        Seed for the per-entry random row assignment.
+        Seed of the row draw: entry ``k`` of the stream (counted from the
+        last reset) goes to row ``hash_range(k, d, seed ^ _ROW_SALT)``.
     """
 
     guarantee = Guarantee.PROBABILISTIC
@@ -227,7 +234,9 @@ class TopNRandomizedPruner(Pruner[float]):
         if cols is None:
             cols = topn_cols(rows, n, delta)
         self._matrix = RollingMinMatrix(rows, cols)
-        self._rng = random.Random(seed)
+        self._row_seed = seed ^ _ROW_SALT
+        #: Entries drawn a row since the last reset (the draw counter).
+        self._draws = 0
 
     @classmethod
     def optimal(cls, n: int, delta: float = 1e-4, seed: int = 0) -> "TopNRandomizedPruner":
@@ -246,28 +255,31 @@ class TopNRandomizedPruner(Pruner[float]):
         return self._matrix.cols
 
     def process(self, entry: float) -> PruneDecision:
-        row = self._rng.randrange(self._matrix.rows)
+        row = hash_range(self._draws, self._matrix.rows, self._row_seed)
+        self._draws += 1
         pruned = self._matrix.offer(entry, row)
         decision = PruneDecision.PRUNE if pruned else PruneDecision.FORWARD
         self.stats.record(decision)
         return decision
 
     def process_batch(self, entries) -> np.ndarray:
-        """Batch drive of the rolling-minimum matrix.
+        """Vectorized :meth:`process` over a value batch.
 
-        Row draws come from the same sequential RNG stream as the scalar
-        path (one ``randrange`` per entry, in order), so decisions and
-        matrix state match the scalar loop bit for bit; the matrix's
-        chunked row-grouped driver does the rest.
+        Rows are drawn from the entry counter, so the batch hashes the
+        whole counter range ``[k0, k0 + count)`` at once and gets the
+        rows the scalar loop would draw one by one.
+        :meth:`RollingMinMatrix.offer_batch` then applies them with an
+        exact pre-screen and row rounds; decisions, matrix state and
+        stats match the scalar loop bit for bit.
         """
         values = np.asarray(entries, dtype=np.float64)
         count = len(values)
         if count == 0:
             return np.ones(0, dtype=bool)
-        rows = np.fromiter(
-            (self._rng.randrange(self._matrix.rows) for _ in range(count)),
-            dtype=np.int64,
-            count=count,
+        draws = np.arange(self._draws, self._draws + count, dtype=np.int64)
+        self._draws += count
+        rows = hash_range_batch(draws, self._matrix.rows, self._row_seed).astype(
+            np.int64
         )
         pruned = self._matrix.offer_batch(values, rows)
         self.stats.record_batch(count, int(pruned.sum()))
@@ -278,6 +290,7 @@ class TopNRandomizedPruner(Pruner[float]):
 
     def _reset_state(self) -> None:
         self._matrix.clear()
+        self._draws = 0
 
     def _corrupt_state(self, rng) -> Optional[str]:
         """Plant a huge phantom minimum in a random matrix cell."""

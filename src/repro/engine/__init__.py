@@ -27,7 +27,7 @@ from .plan import (
     SkylineOp,
     TopNOp,
 )
-from .reference import run_reference
+from .reference import outputs_match, run_reference
 from .sql import parse as parse_sql
 from .sql import parse_predicate
 from .table import Table, table_from_csv, table_to_csv
@@ -65,6 +65,7 @@ __all__ = [
     "Query",
     "SkylineOp",
     "TopNOp",
+    "outputs_match",
     "run_reference",
     "parse_sql",
     "parse_predicate",

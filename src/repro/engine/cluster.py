@@ -56,7 +56,7 @@ from .plan import (
     SkylineOp,
     TopNOp,
 )
-from .reference import TableMap, run_reference
+from .reference import TableMap, outputs_match, run_reference
 from .table import Table
 
 
@@ -280,9 +280,9 @@ class ClusterConfig:
     #: path always (default batch ``FUSED_DEFAULT_BATCH`` when
     #: ``batch_size`` is None), and the batched single-pass path when
     #: ``batch_size`` is set.  Programs the fusion layer cannot compile
-    #: (randomized TOP N, fingerprint/multi-column DISTINCT, a stateful
-    #: operator behind a WHERE stage) fall back to the per-pruner path
-    #: automatically, counted by ``fused_fallback_total{reason}``.
+    #: (fingerprint/multi-column DISTINCT, a stateful operator behind a
+    #: WHERE stage) fall back to the per-pruner path automatically,
+    #: counted by ``fused_fallback_total{reason}``.
     fused: bool = True
     parallelism: int = 1
     shard_policy: str = "auto"
@@ -547,7 +547,7 @@ class Cluster:
         """Run with Cheetah and assert the pruning contract against reference."""
         result = self.run(query, tables, use_cheetah=True)
         expected = run_reference(query, tables)
-        if result.output != expected:
+        if not outputs_match(result.output, expected):
             raise AssertionError(
                 f"pruning contract violated for {query.describe()}: "
                 f"got {result.output!r}, expected {expected!r}"
@@ -622,16 +622,17 @@ class Cluster:
             from ..switch.compiler import pack
 
             pack([p.footprint() for p in pruners], self.config.model)
-        # The fused plan depends only on the variant axes; with mixed
-        # per-query overrides, OR-ing them is conservative — a query
-        # whose override needs an unfusable variant forces the (exact)
-        # per-pruner fallback for the whole slot.
+        # Of the variant axes, only fingerprint DISTINCT changes what the
+        # fused plan can compile (it does not fuse).  With mixed
+        # per-query overrides, OR-ing it is conservative: a query whose
+        # override needs it forces the (exact) per-pruner fallback for
+        # the whole slot.  Both TOP N variants fuse into one kernel kind
+        # that drives whichever pruner the query's own config built.
         if all(cfg == effective[0] for cfg in effective):
             plan_config = effective[0]
         else:
             plan_config = dataclass_replace(
                 self.config,
-                topn_randomized=any(cfg.topn_randomized for cfg in effective),
                 distinct_fingerprint=any(
                     cfg.distinct_fingerprint for cfg in effective
                 ),

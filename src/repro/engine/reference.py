@@ -9,7 +9,10 @@ speed — they are oracles, not the benchmarked path.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
+from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -60,6 +63,37 @@ def run_reference(query: Query, tables: TableMap) -> object:
     if isinstance(operator, SkylineOp):
         return _skyline(table, list(operator.columns))
     raise PlanError(f"unknown operator type {type(operator).__name__}")
+
+
+def outputs_match(got: object, expected: object) -> bool:
+    """Output equality for the pruning contract, with NaN equal to NaN.
+
+    Plain ``==`` makes an output holding NaN differ from an identical
+    one, because ``nan != nan``.  Here lists and tuples compare element
+    by element (NaN matches NaN at the same position), mappings compare
+    value by key, and sets compare their non-NaN members plus how many
+    NaN members they hold.  How NaN is ordered is left to the operators.
+    """
+    if got == expected or (_is_nan(got) and _is_nan(expected)):
+        return True
+    for ordered in (list, tuple):
+        if isinstance(got, ordered) and isinstance(expected, ordered):
+            return len(got) == len(expected) and all(map(outputs_match, got, expected))
+    if isinstance(got, Mapping) and isinstance(expected, Mapping):
+        return got.keys() == expected.keys() and all(
+            outputs_match(got[key], expected[key]) for key in got
+        )
+    if isinstance(got, AbstractSet) and isinstance(expected, AbstractSet):
+        got_nan = {value for value in got if _is_nan(value)}
+        expected_nan = {value for value in expected if _is_nan(value)}
+        return len(got_nan) == len(expected_nan) and set(got) - got_nan == (
+            set(expected) - expected_nan
+        )
+    return False
+
+
+def _is_nan(value: object) -> bool:
+    return isinstance(value, (float, np.floating)) and math.isnan(value)
 
 
 def _lookup(tables: TableMap, name: str) -> Table:

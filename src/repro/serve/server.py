@@ -34,7 +34,7 @@ from typing import Dict, Optional, Union
 
 from ..engine.cluster import Cluster, ClusterConfig
 from ..engine.plan import Query
-from ..engine.reference import TableMap, run_reference
+from ..engine.reference import TableMap, outputs_match, run_reference
 from ..engine.sql import parse
 from ..errors import ConfigurationError
 from ..obs import (
@@ -576,7 +576,7 @@ class QueryService:
             if self.verify:
                 for request, output in zip(requests, outputs):
                     expected = run_reference(request.query, tables)
-                    if output != expected:
+                    if not outputs_match(output, expected):
                         raise AssertionError(
                             f"serving parity violated for "
                             f"{request.query.describe()}: got {output!r}, "

@@ -2,8 +2,9 @@
 
 The paper's DISTINCT, randomized TOP N and GROUP BY algorithms all share
 one hardware layout: ``d`` register indexes per stage across ``w`` stages,
-viewed as a matrix of ``d`` rows and ``w`` columns.  An entry hashes (or is
-randomly assigned) to a row and is compared only against the ``w`` cells of
+viewed as a matrix of ``d`` rows and ``w`` columns.  An entry hashes to a
+row (randomized TOP N hashes the entry's stream position, DISTINCT and
+GROUP BY hash its key) and is compared only against the ``w`` cells of
 that row — this is how Cheetah fits "compare against many past entries"
 into a pipeline with a handful of ALUs per stage.
 
@@ -43,6 +44,17 @@ def _iter_row_groups(rows: np.ndarray):
     boundaries = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
     for group in np.split(order, boundaries):
         yield int(rows[group[0]]), group
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys`` below ``bound``.
+
+    Keys that fit 16 bits are sorted as ``uint16``, for which numpy's
+    stable sort is a radix sort (about 10x faster than on int64).
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 class CacheMatrix:
@@ -209,8 +221,14 @@ class RollingMinMatrix:
     and the smaller continues — the paper's rolling minimum.  A value that
     exits the last column smaller than everything stored is *prunable*.
 
-    Rows are selected by the caller (randomized TOP N assigns rows uniformly
-    at random; GROUP BY hashes the key) via the ``row`` argument.
+    Rows are selected by the caller via the ``row`` argument (randomized
+    TOP N draws them from a hashed entry counter).
+
+    State is a ``(rows, cols)`` float64 array plus a per-row fill count:
+    row ``r`` holds its values in ``cells[r, :fill[r]]`` and the cells
+    past the fill hold ``-inf``.  :meth:`offer` is the readable scalar
+    spec and :meth:`offer_batch` reproduces it bit for bit with
+    whole-array operations.
     """
 
     def __init__(self, rows: int, cols: int) -> None:
@@ -220,7 +238,8 @@ class RollingMinMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self._cells: List[List[Optional[float]]] = [[None] * cols for _ in range(rows)]
+        self._cells = np.full((rows, cols), -np.inf)
+        self._fill = np.zeros(rows, dtype=np.int64)
         #: Values offered to any row.
         self.offers = 0
         #: Offers rejected (value below a full row's minimum — prunable).
@@ -230,65 +249,135 @@ class RollingMinMatrix:
         """Push ``value`` through ``row``; return True if it was pruned.
 
         Pruned means the row was full and ``value`` was strictly smaller
-        than all ``w`` stored values — since each stored value was itself
+        than its last stored value — since each stored value was itself
         forwarded on arrival, a pruned value provably has ``w`` forwarded
-        row-mates above it.  Any other value is forwarded; if it displaces
-        the rolling minimum, the old minimum simply leaves switch memory
-        (it was already forwarded).
+        row-mates above it.  Any other value is forwarded: it lands right
+        after the leading run of stored values ``>=`` it, and the value
+        pushed past column ``w`` simply leaves switch memory (it was
+        already forwarded).  NaN compares false both ways, so an arriving
+        NaN lands in column 0 and a stored NaN ends the scan.
         """
         if not 0 <= row < self.rows:
             raise ConfigurationError(f"row {row} out of range [0, {self.rows})")
         self.offers += 1
         cells = self._cells[row]
-        if cells[-1] is not None and value < cells[-1]:
+        fill = int(self._fill[row])
+        if fill == self.cols and value < cells[-1]:
             # Full row, value below its minimum: nothing to update.
             self.rejected += 1
             return True
-        kept = [c for c in cells if c is not None]
         position = 0
-        while position < len(kept) and kept[position] >= value:
+        while position < fill and cells[position] >= value:
             position += 1
-        kept.insert(position, value)
-        kept = kept[: self.cols]
-        self._cells[row] = kept + [None] * (self.cols - len(kept))
+        if position < self.cols:
+            cells[position + 1 :] = cells[position:-1].copy()
+            cells[position] = value
+            self._fill[row] = min(fill + 1, self.cols)
         return False
 
     def offer_batch(self, values: Sequence[float], rows: np.ndarray) -> np.ndarray:
-        """Chunked batch driver for :meth:`offer`.
+        """Vectorized :meth:`offer` over a stream batch.
 
-        Entries are grouped by target row and replayed sequentially within
-        each group in stream order — a row's prune decision depends on the
-        values it already holds, so only the grouping is vectorized.
-        Returns the per-entry pruned flags the scalar loop would return.
+        Returns the per-entry pruned flags, and leaves the matrix state
+        and counters, exactly as the scalar loop in stream order would.
+        Two steps, neither with a per-entry Python loop:
+
+        1. **Exact pre-screen.**  An entry whose row is full at the start
+           of the batch and whose value is below that row's minimum is
+           pruned without touching state: a full row's minimum never
+           decreases, so the scalar loop would reject it too.  This holds
+           only without NaN, so the step is skipped when the batch or the
+           stored cells hold one.  With ``w=3``, offers 1, NaN, 0.5 leave
+           the row ``[0.5, NaN, 1]``; an arriving 2 makes the last cell
+           NaN, so a later 0.7 is forwarded although it is below 1.
+        2. **Row rounds.**  The remaining entries are stable-sorted by
+           row and ranked within it; round ``k`` applies the ``k``-th
+           arrival of every row at once.  Rows are independent, so this
+           keeps each row's stream order.
         """
+        values = np.asarray(values, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
         count = len(values)
-        pruned = np.zeros(count, dtype=bool)
         if count == 0:
-            return pruned
-        rows = np.asarray(rows)
-        for row, positions in _iter_row_groups(rows):
-            for pos in positions:
-                pruned[pos] = self.offer(float(values[pos]), row)
+            return np.zeros(0, dtype=bool)
+        if rows.min() < 0 or rows.max() >= self.rows:
+            bad = int(rows[(rows < 0) | (rows >= self.rows)][0])
+            raise ConfigurationError(f"row {bad} out of range [0, {self.rows})")
+        if np.isnan(values).any() or np.isnan(self._cells).any():
+            pruned = self._offer_rounds(values, rows)
+        else:
+            pruned = (self._fill[rows] == self.cols) & (values < self._cells[rows, -1])
+            live = np.flatnonzero(~pruned)
+            if len(live):
+                pruned[live] = self._offer_rounds(values[live], rows[live])
+        self.offers += count
+        self.rejected += int(np.count_nonzero(pruned))
+        return pruned
+
+    def _offer_rounds(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Apply entries round by round, one arrival per row per round."""
+        order = _stable_order(rows, self.rows)
+        sorted_rows = rows[order]
+        new_row = np.ones(len(order), dtype=bool)
+        new_row[1:] = sorted_rows[1:] != sorted_rows[:-1]
+        starts = np.flatnonzero(new_row)
+        rank = np.arange(len(order)) - starts[np.cumsum(new_row) - 1]
+        # Entries grouped by rank (one round each), stream order kept
+        # within a row because ``order`` is stable.
+        by_round = order[_stable_order(rank, len(rank))]
+        bounds = np.cumsum(np.bincount(rank))
+        pruned = np.zeros(len(values), dtype=bool)
+        columns = np.arange(self.cols)
+        lo = 0
+        for hi in bounds:
+            idx = by_round[lo:hi]
+            lo = hi
+            row, value = rows[idx], values[idx]
+            cells, fill = self._cells[row], self._fill[row]
+            reject = (fill == self.cols) & (value < cells[:, -1])
+            pruned[idx] = reject
+            if reject.any():
+                keep = ~reject
+                row, value, cells, fill = row[keep], value[keep], cells[keep], fill[keep]
+            # Scalar scan: position = length of the leading run of filled
+            # cells >= value (w when the whole full row qualifies).
+            run = (cells >= value[:, None]) & (columns < fill[:, None])
+            position = np.where(run.all(axis=1), self.cols, np.argmin(run, axis=1))
+            # Insert: cells before the position stay, the value lands on
+            # it, the rest shift right one column (the last falls off).
+            at = position[:, None]
+            updated = np.where(columns < at, cells, np.roll(cells, 1, axis=1))
+            self._cells[row] = np.where(columns == at, value[:, None], updated)
+            self._fill[row] = np.minimum(fill + 1, self.cols)
         return pruned
 
     def row_values(self, row: int) -> List[float]:
         """Stored values of ``row``, largest first."""
-        return [cell for cell in self._cells[row] if cell is not None]
+        return self._cells[row, : self._fill[row]].tolist()
 
     def minimum(self, row: int) -> Optional[float]:
         """Smallest stored value of a full row, or None when not full."""
-        cells = self._cells[row]
-        if cells[-1] is None:
+        if self._fill[row] < self.cols:
             return None
-        return cells[-1]
+        return float(self._cells[row, -1])
+
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the ``(rows, cols)`` cell array and the fill counts.
+
+        Cells past a row's fill always hold ``-inf``, so two matrices
+        that saw the same offers have equal snapshots (NaN cells
+        compared as equal) — the equivalence tests rely on this.
+        """
+        return self._cells.copy(), self._fill.copy()
 
     def occupancy(self) -> int:
         """Total number of stored values across all rows."""
-        return sum(1 for row in self._cells for cell in row if cell is not None)
+        return int(self._fill.sum())
 
     def clear(self) -> None:
         """Empty every row."""
-        self._cells = [[None] * self.cols for _ in range(self.rows)]
+        self._cells.fill(-np.inf)
+        self._fill.fill(0)
         self.offers = 0
         self.rejected = 0
 
@@ -303,11 +392,14 @@ class RollingMinMatrix:
             raise ConfigurationError(
                 f"cell ({row}, {col}) out of range for {self.rows}x{self.cols}"
             )
-        previous = self._cells[row][col]
-        kept = [cell for i, cell in enumerate(self._cells[row]) if i != col and cell is not None]
+        stored = self.row_values(row)
+        previous = stored[col] if col < len(stored) else None
+        kept = [cell for i, cell in enumerate(stored) if i != col]
         kept.append(float(value))
         kept.sort(reverse=True)
-        self._cells[row] = kept + [None] * (self.cols - len(kept))
+        self._cells[row] = -np.inf
+        self._cells[row, : len(kept)] = kept
+        self._fill[row] = len(kept)
         return f"rollingmin[{row}][{col}] {previous!r} -> {value!r}"
 
     def observe_health(self, registry, **labels: object) -> None:

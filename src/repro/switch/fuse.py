@@ -18,14 +18,16 @@ per batch*.  This module compiles the packed program once into a
 
 What fuses and what falls back
 ------------------------------
-Fusable single-pass kernels: filter/COUNT (stateless truth table),
-deterministic TOP N (threshold ladder), exact single-column DISTINCT
-and MIN/MAX GROUP BY (their cache matrices are still replayed row-group
-sequentially — that is the exact-state contract — but the expensive
-canonical + row-hash digests are shared).  Everything else falls back
-to the per-pruner path with a ``fused_fallback_total{reason}`` counter:
+Fusable single-pass kernels: filter/COUNT (stateless truth table), TOP
+N in both variants (the deterministic threshold ladder and the
+randomized rolling-minimum matrix, whose rows come from a hashed entry
+counter and whose batch applies row rounds), exact single-column
+DISTINCT and MIN/MAX GROUP BY (their cache matrices are still replayed
+row-group sequentially — that is the exact-state contract — but the
+expensive canonical + row-hash digests are shared).  Everything else
+falls back to the per-pruner path with a ``fused_fallback_total{reason}``
+counter:
 
-* ``randomized-topn`` — per-entry RNG draws are sequentially coupled;
 * ``fingerprint-distinct`` — the probabilistic fingerprint pipeline;
 * ``multi-column-key`` — DISTINCT over tuple entries (object arrays);
 * ``where-stage`` — a stateful operator behind a packed WHERE stage;
@@ -90,7 +92,7 @@ class KernelSpec:
     Filter kernels read the whole shared slice tuple and need neither.
     """
 
-    kind: str  # "filter" | "topn-det" | "distinct" | "groupby"
+    kind: str  # "filter" | "topn" | "distinct" | "groupby"
     value_index: int = -1
     key_index: int = -1
     descending: bool = True
@@ -152,10 +154,8 @@ def _classify(query, columns: Tuple[str, ...], config) -> object:
             return "multi-column-key"
         return KernelSpec(kind="distinct", value_index=columns.index(op.columns[0]))
     if isinstance(op, TopNOp):
-        if config.topn_randomized:
-            return "randomized-topn"
         return KernelSpec(
-            kind="topn-det",
+            kind="topn",
             value_index=columns.index(op.order_by),
             descending=op.descending,
         )
@@ -173,8 +173,9 @@ def plan_fused(queries: Sequence, columns: Sequence[str], config) -> FusedPlan:
 
     The plan depends only on each query's canonical cache key, the
     shared column layout, and the config knobs that choose pruner
-    *types* (``topn_randomized``, ``distinct_fingerprint``) — pruner
-    sizing lives in the bound pruners, not the plan.  Never raises: an
+    *types* (``topn_randomized``, ``distinct_fingerprint``), so plans
+    for different variants never alias — pruner sizing lives in the
+    bound pruners, not the plan.  Never raises: an
     unfusable program returns a plan carrying its ``fallback_reason``.
     """
     layout = tuple(columns)
@@ -360,7 +361,7 @@ def _bind_kernel(spec: KernelSpec, pruner) -> Callable[[_BatchContext], np.ndarr
     """
     if spec.kind == "filter":
         return lambda ctx: pruner.process_batch(ctx.slices)
-    if spec.kind == "topn-det":
+    if spec.kind == "topn":
         index, descending = spec.value_index, spec.descending
 
         def topn_kernel(ctx: _BatchContext) -> np.ndarray:

@@ -24,7 +24,7 @@ from repro.core.join import AsymmetricJoinPruner, JoinPruner, OuterJoinPruner
 from repro.core.skyline import DirectionalSkylinePruner, SkylinePruner
 from repro.core.topn import TopNDeterministicPruner, TopNRandomizedPruner
 from repro.engine.expressions import col
-from repro.errors import ResourceError
+from repro.errors import ConfigurationError, ResourceError
 from repro.sketches.bloom import BloomFilter, RegisterBloomFilter
 from repro.sketches.cachematrix import (
     CacheMatrix,
@@ -256,7 +256,7 @@ class TestSketchBatch:
         expected = [scalar.offer(v, int(r)) for v, r in zip(values, rows)]
         got = batch.offer_batch(np.asarray(values), rows)
         assert [bool(x) for x in got] == expected
-        assert batch._cells == scalar._cells
+        _assert_same_rolling_min(batch, scalar)
 
     def test_keyed_aggregate_observe_batch(self):
         rng = random.Random(16)
@@ -271,6 +271,180 @@ class TestSketchBatch:
             )
             assert [bool(x) for x in got] == expected
             assert batch._cells == scalar._cells
+
+
+# ---------------------------------------------------------------------------
+# Rolling-minimum matrix and randomized TOP N: array state, row rounds
+# ---------------------------------------------------------------------------
+
+ROUND_CHUNKS = (1, 7, 4096)
+
+
+def _assert_same_rolling_min(a: RollingMinMatrix, b: RollingMinMatrix) -> None:
+    """Bit-identical cells (NaN and -0.0 included), fills and counters."""
+    cells_a, fill_a = a.snapshot()
+    cells_b, fill_b = b.snapshot()
+    assert np.array_equal(fill_a, fill_b)
+    assert np.array_equal(cells_a.view(np.uint64), cells_b.view(np.uint64))
+    assert (a.offers, a.rejected) == (b.offers, b.rejected)
+
+
+def _rolling_min_streams():
+    """``name -> values`` streams, each long enough to span 4096 batches."""
+    rng = np.random.default_rng(31)
+    size = 9000
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0, 2.5])
+    mixed = rng.uniform(0.0, 100.0, size)
+    picks = rng.random(size) < 0.2
+    mixed[picks] = rng.choice(specials, int(picks.sum()))
+    return {
+        "uniform": rng.uniform(0.0, 1e6, size),
+        "ties-duplicates": rng.integers(0, 12, size).astype(np.float64),
+        # 0.0 == -0.0 but their bits differ, so the state pins which
+        # side of an equal run the scalar scan inserts on.
+        "signed-zeros": rng.choice([-0.0, 0.0], size),
+        "nan-inf-ties": mixed,
+        "late-nan": np.concatenate(
+            [rng.uniform(0.0, 1e3, size - 50), np.full(50, np.nan)]
+        ),
+        "increasing": np.arange(size, dtype=np.float64),
+        "decreasing": np.arange(size, 0, -1, dtype=np.float64),
+    }
+
+
+ROLLING_MIN_STREAMS = _rolling_min_streams()
+
+
+class TestRollingMinRounds:
+    @pytest.mark.parametrize("chunk", ROUND_CHUNKS)
+    @pytest.mark.parametrize("name", sorted(ROLLING_MIN_STREAMS))
+    def test_offer_batch_matches_scalar(self, name, chunk):
+        values = ROLLING_MIN_STREAMS[name]
+        rows = np.random.default_rng(32).integers(0, 64, len(values))
+        scalar = RollingMinMatrix(rows=64, cols=3)
+        batch = RollingMinMatrix(rows=64, cols=3)
+        expected = [scalar.offer(float(v), int(r)) for v, r in zip(values, rows)]
+        got = np.concatenate(
+            [
+                batch.offer_batch(values[i : i + chunk], rows[i : i + chunk])
+                for i in range(0, len(values), chunk)
+            ]
+        )
+        assert got.tolist() == expected
+        _assert_same_rolling_min(batch, scalar)
+
+    def test_single_row_keeps_stream_order(self):
+        # Every entry in one row: each round applies one arrival.
+        values = ROLLING_MIN_STREAMS["nan-inf-ties"][:500]
+        rows = np.zeros(len(values), dtype=np.int64)
+        scalar = RollingMinMatrix(rows=1, cols=4)
+        batch = RollingMinMatrix(rows=1, cols=4)
+        expected = [scalar.offer(float(v), 0) for v in values]
+        assert batch.offer_batch(values, rows).tolist() == expected
+        _assert_same_rolling_min(batch, scalar)
+
+    def test_stored_nan_disables_prescreen(self):
+        # After 1, NaN, 0.5 the full row reads [0.5, NaN, 1]: its last
+        # cell is 1, yet an arriving 2 makes that cell NaN, so a later
+        # 0.7 is forwarded.  A pre-screen against the batch-start minimum
+        # would wrongly prune it.
+        batch = RollingMinMatrix(rows=1, cols=3)
+        assert batch.offer_batch([1.0, np.nan, 0.5], np.zeros(3, np.int64)).tolist() == [
+            False, False, False,
+        ]
+        assert batch.minimum(0) == 1.0
+        got = batch.offer_batch([2.0, 0.7], np.zeros(2, np.int64))
+        assert got.tolist() == [False, False]
+        scalar = RollingMinMatrix(rows=1, cols=3)
+        for value in (1.0, np.nan, 0.5):
+            scalar.offer(value, 0)
+        assert [scalar.offer(2.0, 0), scalar.offer(0.7, 0)] == [False, False]
+        _assert_same_rolling_min(batch, scalar)
+
+    def test_batch_nan_disables_prescreen(self):
+        # A NaN-free full row [3, 2, 1] meets a batch carrying NaN: after
+        # NaN, 4, 5 the last cell is NaN, so 0.5 (below the batch-start
+        # minimum 1) is forwarded.
+        batch = RollingMinMatrix(rows=1, cols=3)
+        scalar = RollingMinMatrix(rows=1, cols=3)
+        for value in (3.0, 2.0, 1.0):
+            scalar.offer(value, 0)
+        batch.offer_batch([3.0, 2.0, 1.0], np.zeros(3, np.int64))
+        stream = [np.nan, 4.0, 5.0, 0.5]
+        expected = [scalar.offer(value, 0) for value in stream]
+        assert expected == [False, False, False, False]
+        assert batch.offer_batch(stream, np.zeros(4, np.int64)).tolist() == expected
+        _assert_same_rolling_min(batch, scalar)
+
+    def test_prescreen_leaves_state_untouched(self):
+        batch = RollingMinMatrix(rows=2, cols=2)
+        batch.offer_batch([10.0, 20.0, 30.0, 40.0], np.array([0, 0, 1, 1]))
+        before = batch.snapshot()
+        got = batch.offer_batch([1.0, 5.0, 29.0], np.array([0, 0, 1]))
+        assert got.tolist() == [True, True, True]
+        after = batch.snapshot()
+        assert np.array_equal(before[0], after[0])
+        assert (batch.offers, batch.rejected) == (7, 3)
+
+    def test_out_of_range_row_raises(self):
+        with pytest.raises(ConfigurationError):
+            RollingMinMatrix(rows=2, cols=2).offer_batch([1.0], np.array([2]))
+
+
+def _topn_rand(seed: int = 9) -> TopNRandomizedPruner:
+    return TopNRandomizedPruner(n=40, rows=64, cols=3, seed=seed)
+
+
+class TestTopNRandomizedRounds:
+    @pytest.mark.parametrize("name", sorted(ROLLING_MIN_STREAMS))
+    def test_process_batch_matches_scalar(self, name):
+        values = ROLLING_MIN_STREAMS[name].tolist()
+        _check_pruner(_topn_rand, values, values[:300], chunks=ROUND_CHUNKS)
+
+    @pytest.mark.parametrize("chunk", ROUND_CHUNKS)
+    @pytest.mark.parametrize("name", sorted(ROLLING_MIN_STREAMS))
+    def test_matrix_state_and_stats(self, name, chunk):
+        values = ROLLING_MIN_STREAMS[name]
+        scalar, batch = _topn_rand(), _topn_rand()
+        expected = _scalar_mask(scalar, values.tolist())
+        got = _batch_mask(batch, values, chunk)
+        assert np.array_equal(got, expected)
+        _assert_same_rolling_min(batch._matrix, scalar._matrix)
+        assert (batch.stats.processed, batch.stats.pruned) == (
+            scalar.stats.processed,
+            scalar.stats.pruned,
+        )
+        assert batch.stats.pruned == batch._matrix.rejected
+
+    def test_rows_come_from_the_entry_counter(self):
+        # Entry k of the stream goes to row hash_range(k, d, seed ^ salt),
+        # whichever batches the stream arrives in.
+        pruner = _topn_rand(seed=11)
+        values = np.arange(7.0)
+        pruner.process_batch(values[:2])
+        pruner.process_batch(values[2:])
+        expected = RollingMinMatrix(rows=pruner.rows, cols=pruner.cols)
+        for k, value in enumerate(values):
+            expected.offer(value, hash_range(k, pruner.rows, 11 ^ 0x70B5))
+        _assert_same_rolling_min(pruner._matrix, expected)
+
+    @pytest.mark.parametrize("chunk", ROUND_CHUNKS)
+    def test_reset_pruner_draws_like_fresh(self, chunk):
+        first = ROLLING_MIN_STREAMS["uniform"]
+        second = ROLLING_MIN_STREAMS["nan-inf-ties"]
+        reused = _topn_rand()
+        _batch_mask(reused, first, chunk)
+        reused.reset()
+        fresh = _topn_rand()
+        assert np.array_equal(
+            _batch_mask(reused, second, chunk), _batch_mask(fresh, second, chunk)
+        )
+        _assert_same_rolling_min(reused._matrix, fresh._matrix)
+        assert (reused.stats.processed, reused.stats.pruned) == (
+            fresh.stats.processed,
+            fresh.stats.pruned,
+        )
+        assert reused.metrics.counter_values() == fresh.metrics.counter_values()
 
 
 # ---------------------------------------------------------------------------

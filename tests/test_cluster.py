@@ -18,7 +18,7 @@ from repro.engine.plan import (
     SkylineOp,
     TopNOp,
 )
-from repro.engine.reference import run_reference
+from repro.engine.reference import outputs_match, run_reference
 from repro.engine.table import Table
 from repro.errors import PlanError
 from repro.workloads import bigdata
@@ -101,6 +101,33 @@ class TestRunVerified:
         cluster._build_pruner = tiny_pruner
         with pytest.raises(AssertionError, match="pruning contract"):
             cluster.run_verified(query, small_tables)
+
+    @pytest.mark.parametrize("batch_size", [None, 4096])
+    def test_nan_column_does_not_violate_contract(self, batch_size):
+        # Both sides print [999.0, 997.0, 996.0, nan, 998.0]; NaN at the
+        # same position must count as equal.
+        values = np.arange(1000.0)
+        values[::50] = np.nan
+        tables = {"T": Table("T", {"x": values})}
+        cluster = Cluster(workers=5, config=ClusterConfig(batch_size=batch_size))
+        topn = Query(TopNOp("T", "x", 5))
+        result = cluster.run_verified(topn, tables)
+        assert str(result.output) == "[999.0, 997.0, 996.0, nan, 998.0]"
+        distinct = cluster.run_verified(Query(DistinctOp("T", ("x",))), tables)
+        assert len(distinct.output) == 1000
+
+    def test_outputs_match_is_positional_on_nan(self):
+        nan = float("nan")
+        assert outputs_match([3.0, nan, 1.0], [3.0, np.float64("nan"), 1.0])
+        assert not outputs_match([nan, 1.0], [1.0, nan])
+        assert not outputs_match([nan], [nan, nan])
+        assert not outputs_match([1.0], (1.0,))
+        assert outputs_match({1: nan, 2: 3.0}, {1: nan, 2: 3.0})
+        assert not outputs_match({1: nan}, {2: nan})
+        assert outputs_match({nan, 2.0}, {float("nan"), 2.0})
+        assert not outputs_match({nan, 2.0}, {nan, float("nan"), 2.0})
+        assert not outputs_match({nan, 2.0}, {nan, 3.0})
+        assert not outputs_match(5, 6)
 
 
 class TestVolumes:

@@ -83,9 +83,12 @@ class TestMultiEntryPruner:
         rng = random.Random(5)
         stream = [rng.uniform(0, 1000) for _ in range(4000)]
         pruner = TopNRandomizedPruner(n=30, rows=64, cols=4, seed=3)
+        # Packet row collisions drawn at random, independent of the
+        # pruner's own counter-drawn rows.
+        row_rng = random.Random(3)
         adapter = MultiEntryPruner(
             pruner,
-            row_of=lambda entry: pruner._rng.randrange(pruner.rows),
+            row_of=lambda entry: row_rng.randrange(pruner.rows),
             entries_per_packet=4,
         )
         survivors = adapter.prune_stream(stream)

@@ -18,6 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.topn import TopNRandomizedPruner
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.expressions import col
 from repro.engine.plan import (
@@ -144,6 +145,87 @@ class TestFusedEquivalence:
         expected_batches = -(-N_ROWS // 3 // FUSED_DEFAULT_BATCH) * 3
         assert counters["fused_batches_total{}"] == expected_batches
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096])
+    def test_randomized_topn_fuses(self, tables, batch_size, parallelism):
+        # topn_randomized is the config default.  Its rows come from a
+        # hashed entry counter, so it compiles to a fused kernel whose
+        # decisions and counters are the per-pruner path's.
+        queries = [
+            Query(TopNOp("T", "price", 25)),
+            Query(TopNOp("T", "price", 10, descending=False)),
+        ]
+
+        def run(fused: bool, query: Query):
+            config = ClusterConfig(
+                batch_size=batch_size,
+                fused=fused,
+                parallelism=parallelism,
+                topn_randomized=True,
+            )
+            return Cluster(workers=3, config=config).run(query, tables)
+
+        for query in queries:
+            fused, plain = run(True, query), run(False, query)
+            assert fused.output == plain.output == run_reference(query, tables)
+            counters = fused.metrics.counter_values()
+            assert counters["fused_batches_total{}"] > 0
+            assert not _fallbacks(fused.metrics)
+            assert [(p.streamed, p.forwarded) for p in fused.phases] == [
+                (p.streamed, p.forwarded) for p in plain.phases
+            ]
+            assert _counters(fused.metrics) == _counters(plain.metrics)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096])
+    def test_randomized_topn_packed_with_filter(self, tables, batch_size):
+        queries = [Query(TopNOp("T", "price", 25)), _make_query("filter")]
+
+        def run(fused: bool):
+            config = ClusterConfig(batch_size=batch_size, fused=fused)
+            return Cluster(workers=3, config=config).run_packed(queries, tables)
+
+        fused, plain = run(True), run(False)
+        expected = [run_reference(query, tables) for query in queries]
+        assert [r.output for r in fused.results] == expected
+        assert [r.output for r in plain.results] == expected
+        assert "fused_batches_total{}" in fused.metrics.counter_values()
+        assert not _fallbacks(fused.metrics)
+        assert fused.total_forwarded == plain.total_forwarded
+        for fused_result, plain_result in zip(fused.results, plain.results):
+            assert _counters(fused_result.metrics) == _counters(plain_result.metrics)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096])
+    def test_randomized_topn_kernel_masks(self, tables, batch_size):
+        # The fused kernel's keep-masks, batch by batch, against the
+        # pruner driven directly (ascending order negates, as the
+        # per-pruner path's entry mapping does).
+        queries = [
+            Query(TopNOp("T", "price", 25)),
+            Query(TopNOp("T", "price", 10, descending=False)),
+        ]
+        plan = plan_fused(queries, ("price",), ClusterConfig())
+        assert plan.fused
+        make = lambda: TopNRandomizedPruner(n=25, rows=16, cols=3, seed=4)
+        fused_pruners, plain_pruners = [make(), make()], [make(), make()]
+        program = FusedProgram(plan, fused_pruners)
+        price = tables["T"]["price"].astype(np.float64)
+        for start in range(0, N_ROWS, batch_size):
+            values = price[start : start + batch_size]
+            masks, any_forward = program.run_batch((values,))
+            expected = [
+                plain_pruners[0].process_batch(values),
+                plain_pruners[1].process_batch(-values),
+            ]
+            for mask, want in zip(masks, expected):
+                assert np.array_equal(mask, want)
+            assert np.array_equal(any_forward, expected[0] | expected[1])
+        for fused_pruner, plain_pruner in zip(fused_pruners, plain_pruners):
+            assert fused_pruner.stats.pruned == plain_pruner.stats.pruned > 0
+            assert (
+                fused_pruner.metrics.counter_values()
+                == plain_pruner.metrics.counter_values()
+            )
+
     @pytest.mark.parametrize("kind", FUSED_KINDS + ("select",))
     def test_single_pass_run_matches(self, tables, kind):
         query = _make_query(kind)
@@ -171,17 +253,6 @@ def _fallbacks(registry) -> dict:
 
 
 class TestFallbacks:
-    def test_randomized_topn_falls_back(self, tables):
-        # topn_randomized is the config default: per-entry RNG draws are
-        # sequentially coupled, so the program must not fuse.
-        queries = [Query(TopNOp("T", "price", 25)), _make_query("filter")]
-        config = ClusterConfig(batch_size=64, fused=True, topn_randomized=True)
-        result = Cluster(workers=3, config=config).run_packed(queries, tables)
-        assert result.results[1].output == run_reference(queries[1], tables)
-        counters = result.metrics.counter_values()
-        assert counters['fused_fallback_total{reason=randomized-topn}'] == 1
-        assert "fused_batches_total{}" not in counters
-
     def test_multi_column_distinct_falls_back(self, tables):
         query = Query(DistinctOp("T", ("url", "agent")))
         result = Cluster(workers=3, config=_config(True, 64)).run_packed(
@@ -217,11 +288,11 @@ class TestFallbacks:
 
     def test_fallback_plan_cannot_bind(self):
         plan = plan_fused(
-            [Query(TopNOp("T", "price", 5))],
-            ("price",),
-            ClusterConfig(topn_randomized=True),
+            [Query(DistinctOp("T", ("url",)))],
+            ("url",),
+            ClusterConfig(distinct_fingerprint=True),
         )
-        assert plan.fallback_reason == "randomized-topn"
+        assert plan.fallback_reason == "fingerprint-distinct"
         with pytest.raises(ValueError, match="fallback"):
             FusedProgram(plan, [object()])
 
@@ -256,8 +327,11 @@ class TestPlanCacheAndSharing:
         randomized = plan_fused(
             queries, ("price",), ClusterConfig(batch_size=64, topn_randomized=True)
         )
-        assert deterministic.fused
-        assert randomized.fallback_reason == "randomized-topn"
+        # Both variants fuse to the same kernel kind, but under separate
+        # plan-cache keys.
+        assert deterministic.fused and randomized.fused
+        assert [s.kind for s in randomized.specs] == ["topn"]
+        assert randomized is not deterministic
         assert fused_cache_stats() == {"hits": 0, "misses": 2}
 
     def test_digest_shared_across_kernels(self, tables):
